@@ -27,12 +27,18 @@ var LatencyBuckets = []float64{
 // Bucket i counts observations v with v <= bounds[i] (and v >
 // bounds[i-1]); one extra overflow bucket counts v > bounds[last] —
 // Prometheus' cumulative-`le` convention made explicit per bucket.
-// A nil *Histogram is a no-op on every method.
+// The exact minimum and maximum are tracked beside the buckets, so a
+// quantile that lands in the overflow bucket reports the largest value
+// seen instead of the top bound. A nil *Histogram is a no-op on every
+// method.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	// min and max are float64 bits, CAS-updated; +Inf and -Inf while
+	// the histogram is empty.
+	min, max atomic.Uint64
 }
 
 // NewHistogram builds a histogram over the given ascending upper
@@ -43,7 +49,10 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records one value.
@@ -54,6 +63,20 @@ func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
+	}
+	// min and max land before count, so a reader that sees a non-zero
+	// count also sees finite extremes.
+	for {
+		old := h.min.Load()
+		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -90,6 +113,22 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// Min returns the smallest observed value (0 when empty).
+func (h *Histogram) Min() float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.min.Load())
+}
+
+// Max returns the largest observed value (0 when empty).
+func (h *Histogram) Max() float64 {
+	if h.Count() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.max.Load())
+}
+
 // Mean returns Sum/Count (0 when empty).
 func (h *Histogram) Mean() float64 {
 	n := h.Count()
@@ -120,8 +159,8 @@ func (h *Histogram) CountBelow(limit float64) int64 {
 // Quantile estimates the q-quantile (q in [0, 1]) by linear
 // interpolation inside the bucket containing the target rank: the
 // bucket's observations are assumed uniform between its lower and upper
-// bound. Values in the overflow bucket are reported as the top bound
-// (the histogram cannot know how far beyond it they reached). Returns 0
+// bound. A rank in the overflow bucket, which has no upper bound to
+// interpolate towards, reports the exact maximum observed. Returns 0
 // for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
@@ -146,8 +185,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		if cum+n >= rank {
 			if i >= len(h.bounds) {
-				// Overflow bucket: unbounded above, clamp to the top bound.
-				return h.bounds[len(h.bounds)-1]
+				return h.Max()
 			}
 			lo := 0.0
 			if i > 0 {
@@ -159,7 +197,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return h.Max()
 }
 
 // BucketCount is one bucket of a histogram snapshot.
@@ -193,6 +231,8 @@ type HistogramSnapshot struct {
 	Count   int64         `json:"count"`
 	Sum     float64       `json:"sum"`
 	Mean    float64       `json:"mean"`
+	Min     float64       `json:"min"`
+	Max     float64       `json:"max"`
 	P50     float64       `json:"p50"`
 	P90     float64       `json:"p90"`
 	P99     float64       `json:"p99"`
@@ -210,6 +250,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count: h.Count(),
 		Sum:   h.Sum(),
 		Mean:  h.Mean(),
+		Min:   h.Min(),
+		Max:   h.Max(),
 		P50:   h.Quantile(0.50),
 		P90:   h.Quantile(0.90),
 		P99:   h.Quantile(0.99),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -75,11 +76,58 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if q := h.Quantile(0.5); q != 0 {
 		t.Errorf("empty histogram p50: got %v, want 0", q)
 	}
-	// Overflow observations clamp to the top finite bound rather than
-	// inventing an unbounded estimate.
+	// An overflow rank reports the exact maximum, not the top bound.
 	h.Observe(1e9)
-	if q := h.Quantile(0.99); q != 2 {
-		t.Errorf("overflow-only p99: got %v, want top bound 2", q)
+	if q := h.Quantile(0.99); q != 1e9 {
+		t.Errorf("overflow-only p99: got %v, want max 1e9", q)
+	}
+}
+
+// TestHistogramMinMax pins the exact extremes: tracked across
+// concurrent observers, zero while empty, exposed in the snapshot and
+// its JSON, and returned for every quantile whose rank overflows the
+// top bound — a 39 s mean must not print as p50 = p99 = 5 s.
+func TestHistogramMinMax(t *testing.T) {
+	h := NewHistogram(nil)
+	if h.Min() != 0 || h.Max() != 0 {
+		t.Errorf("empty: min %v max %v, want 0 0", h.Min(), h.Max())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				h.Observe(float64(w*100+i+30) / 10) // 3.0 … 42.9 s
+			}
+		}(w)
+	}
+	wg.Wait()
+	if h.Min() != 3 || h.Max() != 42.9 {
+		t.Errorf("min %v max %v, want 3 42.9", h.Min(), h.Max())
+	}
+	s := h.Snapshot()
+	if s.Min != 3 || s.Max != 42.9 {
+		t.Errorf("snapshot min %v max %v, want 3 42.9", s.Min, s.Max)
+	}
+	// 380 of 400 values exceed the 5 s top bound, so p50 and p99 both
+	// land in the overflow bucket.
+	if s.P50 != 42.9 || s.P99 != 42.9 {
+		t.Errorf("overflow quantiles p50 %v p99 %v, want max 42.9", s.P50, s.P99)
+	}
+	if s.P50 <= LatencyBuckets[len(LatencyBuckets)-1] {
+		t.Errorf("p50 %v clamps to the top bound", s.P50)
+	}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"min":3,`) || !strings.Contains(string(b), `"max":42.9,`) {
+		t.Errorf("snapshot JSON lacks min/max: %s", b)
+	}
+	// A rank inside the finite buckets still interpolates.
+	if q := h.Quantile(0.01); q <= 2 || q > 5 {
+		t.Errorf("p1 %v, want inside the (2, 5] bucket", q)
 	}
 }
 

@@ -48,6 +48,8 @@ const (
 	OpRecovery
 	// OpRound is one SPR/NNI improvement round of the search loop.
 	OpRound
+	// OpNewton is one branch's Newton solve over its sum table.
+	OpNewton
 	numOps
 )
 
@@ -63,6 +65,7 @@ var opNames = [numOps]string{
 	OpSumTable:  "sum-table",
 	OpRecovery:  "recovery",
 	OpRound:     "round",
+	OpNewton:    "newton",
 }
 
 var opCats = [numOps]string{
@@ -77,6 +80,7 @@ var opCats = [numOps]string{
 	OpSumTable:  "plf",
 	OpRecovery:  "plf",
 	OpRound:     "search",
+	OpNewton:    "plf",
 }
 
 // String returns the op's trace name.

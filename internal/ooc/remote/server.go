@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oocphylo/internal/iosim"
@@ -53,6 +54,7 @@ type ServerConfig struct {
 	// objects are never mutated by a fault — write-path truncation and
 	// corruption degrade to a dropped connection before the body is
 	// read, so every byte that lands in an object arrived intact.
+	// SetChaos swaps it while the server runs.
 	Chaos *iosim.Chaos
 }
 
@@ -61,6 +63,9 @@ type ServerConfig struct {
 type Server struct {
 	cfg   ServerConfig
 	clock iosim.Clock
+	// chaos is the live fault injector: cfg.Chaos at start, replaced by
+	// SetChaos while handlers may be reading it.
+	chaos atomic.Pointer[iosim.Chaos]
 
 	mu      sync.Mutex
 	objects map[string][]byte
@@ -80,6 +85,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("remote: listen: %w", err)
 	}
 	s := &Server{cfg: cfg, objects: make(map[string][]byte), ln: ln}
+	s.chaos.Store(cfg.Chaos)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/o/", s.handleObject)
 	s.hs = &http.Server{Handler: mux}
@@ -99,6 +105,10 @@ func (s *Server) URL() string { return "remote://" + s.Addr() }
 
 // ObjectURL returns the full remote://host:port/<name> URL for name.
 func (s *Server) ObjectURL(name string) string { return s.URL() + "/" + name }
+
+// SetChaos replaces the fault injector consulted by every later
+// request (nil turns injection off). Safe while requests are in flight.
+func (s *Server) SetChaos(c *iosim.Chaos) { s.chaos.Store(c) }
 
 // Clock exposes the injection ledger (ops, bytes, simulated time).
 func (s *Server) Clock() *iosim.Clock { return &s.clock }
@@ -140,9 +150,9 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		defer sp.End()
 	}
 	fault := iosim.FaultNone
-	if s.cfg.Chaos != nil {
+	if chaos := s.chaos.Load(); chaos != nil {
 		var stall time.Duration
-		fault, stall = s.cfg.Chaos.Next()
+		fault, stall = chaos.Next()
 		switch fault {
 		case iosim.FaultDrop:
 			// Partition / connection drop: abort before any response

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,19 +227,19 @@ func TestServerChaosInjection(t *testing.T) {
 	chaos.Enable()
 
 	// 503 burst: the request fails without touching the object.
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{ErrorProb: 1})
+	s.SetChaos(iosim.NewChaos(iosim.ChaosConfig{ErrorProb: 1}))
 	if _, code, _ := get(); code != http.StatusServiceUnavailable {
 		t.Errorf("FaultError GET: HTTP %d, want 503", code)
 	}
 
 	// Connection drop: the client sees a transport error, not a body.
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{DropProb: 1})
+	s.SetChaos(iosim.NewChaos(iosim.ChaosConfig{DropProb: 1}))
 	if _, _, err := get(); err == nil {
 		t.Error("FaultDrop GET completed")
 	}
 
 	// Corrupt: the GET body differs from the stored bytes...
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{CorruptProb: 1})
+	s.SetChaos(iosim.NewChaos(iosim.ChaosConfig{CorruptProb: 1}))
 	if body, code, err := get(); err != nil || code != http.StatusPartialContent {
 		t.Fatalf("FaultCorrupt GET: HTTP %d err %v", code, err)
 	} else if body == payload {
@@ -250,7 +251,7 @@ func TestServerChaosInjection(t *testing.T) {
 	if code := put(); code == http.StatusOK {
 		t.Error("FaultCorrupt PUT succeeded (must degrade to drop)")
 	}
-	s.cfg.Chaos = iosim.NewChaos(iosim.ChaosConfig{TruncateProb: 1})
+	s.SetChaos(iosim.NewChaos(iosim.ChaosConfig{TruncateProb: 1}))
 	if body, _, _ := get(); body == payload {
 		t.Error("FaultTruncate returned the full body")
 	}
@@ -258,8 +259,61 @@ func TestServerChaosInjection(t *testing.T) {
 		t.Error("FaultTruncate PUT succeeded (must degrade to drop)")
 	}
 
-	s.cfg.Chaos = nil
+	s.SetChaos(nil)
 	if body, code, err := get(); err != nil || code != http.StatusPartialContent || body != payload {
 		t.Errorf("object mutated by injection: %q HTTP %d err %v", body, code, err)
+	}
+}
+
+// TestServerSetChaosConcurrent swaps the fault injector while clients
+// keep requesting, so the race detector sees SetChaos against in-flight
+// handlers; every request served after the final SetChaos(nil) must
+// succeed.
+func TestServerSetChaosConcurrent(t *testing.T) {
+	s, err := NewServer(ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	url := "http://" + s.Addr() + "/o/swap"
+	req, _ := http.NewRequest(http.MethodPut, url+"?truncate=16", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	get := func() (int, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					get() // outcome depends on the injector in force
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		s.SetChaos(iosim.NewChaos(iosim.ChaosConfig{ErrorProb: 1}))
+		s.SetChaos(nil)
+	}
+	close(stop)
+	wg.Wait()
+	if code, err := get(); err != nil || code != http.StatusOK {
+		t.Errorf("after SetChaos(nil): HTTP %d err %v", code, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oocphylo/internal/bio"
+	"oocphylo/internal/obs"
 	"oocphylo/internal/tree"
 )
 
@@ -64,11 +65,19 @@ func TestHotPathAllocs(t *testing.T) {
 				{"EvaluateAtLength", func() { e.EvaluateAtLength(edge, 0.1) }},
 				{"OptimizeBranch", func() { e.OptimizeBranch(edge) }},
 				{"sumTableValues", func() { e.sumTableValues(0.05) }},
+				{"sumTableDerivs", func() { e.sumTableDerivs(0.05) }},
 			}
 			for _, c := range checks {
 				if n := testing.AllocsPerRun(100, c.fn); n != 0 {
 					t.Errorf("%s: %v allocations per warm call, want 0", c.name, n)
 				}
+			}
+			// Instrumented, the Newton phase's histogram and trace span
+			// must not allocate either.
+			e.Instrument(obs.NewRegistry(), obs.NewTracer(64))
+			e.OptimizeBranch(edge)
+			if n := testing.AllocsPerRun(100, func() { e.OptimizeBranch(edge) }); n != 0 {
+				t.Errorf("instrumented OptimizeBranch: %v allocations per warm call, want 0", n)
 			}
 		})
 	}

@@ -32,15 +32,19 @@ type compute[F Float] struct {
 	tipInd []F
 
 	// Scratch buffers, reused across steps (the former engine fields).
-	pL, pR   []F // nCat × k² transition matrices (cache-off path)
-	pTmp     []float64
-	tipSumL  []F // nCat × nm × k (cache-off path)
-	tipSumR  []F
-	prodTT   []F // tip×tip mask-pair product table (lazily sized)
-	sumTab   []F // nPat × nCat × k derivative sum table
-	nv       nvArgs[F]
-	ev       evArgs[F]
-	sa       sumArgs[F]
+	pL, pR  []F // nCat × k² transition matrices (cache-off path)
+	pTmp    []float64
+	tipSumL []F // nCat × nm × k (cache-off path)
+	tipSumR []F
+	prodTT  []F // tip×tip mask-pair product table (lazily sized)
+	sumTab  []F // nPat × nCat × k derivative sum table
+	nv      nvArgs[F]
+	ev      evArgs[F]
+	sa      sumArgs[F]
+	// Newton exponential tables, nCat × k, filled once per
+	// sumTableValues call before the fan-out and only read by workers:
+	// lrTab[c*k+kk] = λ_k·r_c and expTab[c*k+kk] = exp(λ_k·r_c·t).
+	lrTab, expTab []float64
 
 	// Pre-bound parallelFor bodies: building these closures once per
 	// engine keeps the newview/evaluate/sum-table hot paths free of
@@ -50,9 +54,12 @@ type compute[F Float] struct {
 	evBody func(lo, hi int)
 	saBody func(lo, hi int)
 	svBody func(lo, hi int)
-	// svT is the branch-length argument of the sum-table value pass,
-	// staged here so svBody needs no per-call closure.
-	svT float64
+	// catW is the equal rate-category weight 1/nCat.
+	catW float64
+	// svFull selects the full (lnL, d1, d2) terms pass over the
+	// derivative-only one, staged here so svBody needs no per-call
+	// closure.
+	svFull bool
 }
 
 // newCompute builds the precision-typed half of an engine.
@@ -77,11 +84,17 @@ func newCompute[F Float](e *Engine) *compute[F] {
 	cs.tipSumL = make([]F, e.nCat*len(e.maskList)*e.nStates)
 	cs.tipSumR = make([]F, e.nCat*len(e.maskList)*e.nStates)
 	cs.sumTab = make([]F, e.nPat*e.nCat*e.nStates)
+	cs.catW = 1.0 / float64(e.nCat)
+	cs.lrTab = make([]float64, e.nCat*e.nStates)
+	cs.expTab = make([]float64, e.nCat*e.nStates)
 	cs.tipInd = asF[F](nil, e.tipInd)
 	cs.nvBody = func(lo, hi int) { cs.kern.newview(e, cs, &cs.nv, lo, hi) }
 	cs.evBody = func(lo, hi int) { cs.kern.evaluate(e, cs, &cs.ev, lo, hi) }
 	cs.saBody = func(lo, hi int) { cs.kern.sumTable(e, cs, &cs.sa, lo, hi) }
-	cs.svBody = func(lo, hi int) { sumTableTerms(e, cs, cs.svT, lo, hi) }
+	cs.svBody = func(lo, hi int) {
+		sumTableTerms(e, cs, lo, hi)
+		finishTerms(e, cs, lo, hi)
+	}
 	return cs
 }
 

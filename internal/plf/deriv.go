@@ -25,7 +25,10 @@ import (
 // vector accesses — which is why branch optimisation touches only the
 // two endpoint vectors, the access-locality property the paper leans on
 // in §4.2. (RAxML's sumGAMMA/coreGTRGAMMA functions implement the same
-// factorisation.)
+// factorisation.) The factor e^{λ_k·r_c·t} does not depend on the
+// pattern, so each evaluation at a length t fills one nCat×k table of
+// exponentials before the pattern loop: O(nCat·k) transcendentals per
+// length instead of O(nPat·nCat·k).
 //
 // In f32 mode the sum table itself is float32 (it scales with nPat like
 // a vector), but the exponentials and every Newton-side term run in
@@ -112,55 +115,105 @@ func buildSumTableF[F Float](e *Engine, cs *compute[F], edge *tree.Edge) error {
 // bit-identical for any worker count.
 func (e *Engine) sumTableValues(t float64) (lnl, d1, d2 float64) {
 	if e.c32 != nil {
-		return sumTableValuesF(e, e.c32, t)
+		return sumTableValuesF(e, e.c32, t, true)
 	}
-	return sumTableValuesF(e, e.c64, t)
+	return sumTableValuesF(e, e.c64, t, true)
 }
 
-func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64) (lnl, d1, d2 float64) {
-	cs.svT = t
+// sumTableDerivs is the derivative-only pass: (dlnL/dt, d²lnL/dt²) at
+// t, skipping the per-pattern logarithm and +I mixture that only lnL
+// needs. Valid only without the +I mixture (M.PInv <= 0), where the
+// Γ-component weight q is exactly 1 and the full pass's derivative
+// expressions reduce to these bit for bit.
+func (e *Engine) sumTableDerivs(t float64) (d1, d2 float64) {
+	if e.c32 != nil {
+		_, d1, d2 = sumTableValuesF(e, e.c32, t, false)
+	} else {
+		_, d1, d2 = sumTableValuesF(e, e.c64, t, false)
+	}
+	return d1, d2
+}
+
+// sumTableValuesF fills the length-t exponential table, fans the
+// pattern loop out and reduces the terms; lnl stays 0 when full is
+// false.
+func sumTableValuesF[F Float](e *Engine, cs *compute[F], t float64, full bool) (lnl, d1, d2 float64) {
+	k, C := e.nStates, e.nCat
+	rates, eval := e.M.Rates, e.M.Eval
+	for c := 0; c < C; c++ {
+		r := rates[c]
+		for kk := 0; kk < k; kk++ {
+			cs.lrTab[c*k+kk] = eval[kk] * r
+			cs.expTab[c*k+kk] = math.Exp(eval[kk] * r * t)
+		}
+	}
+	cs.svFull = full
 	e.parallelFor(e.nPat, cs.svBody)
 	terms := e.siteBuf[:3*e.nPat]
 	for i := 0; i < e.nPat; i++ {
-		lnl += terms[3*i]
+		if full {
+			lnl += terms[3*i]
+		}
 		d1 += terms[3*i+1]
 		d2 += terms[3*i+2]
 	}
 	return lnl, d1, d2
 }
 
-// sumTableTerms fills the per-pattern (lnL, d1, d2) terms for patterns
-// [lo, hi) at branch length t — the parallelFor body of
-// sumTableValues, pre-bound on the compute as svBody. Sum-table entries
-// widen to float64 before the exponential-weighted accumulation, so
-// only the table itself carries reduced precision in f32 mode.
-func sumTableTerms[F Float](e *Engine, cs *compute[F], t float64, lo, hi int) {
-	k, C := e.nStates, e.nCat
-	rates := e.M.Rates
-	eval := e.M.Eval
-	catW := 1.0 / float64(C)
-	terms := e.siteBuf
-	var expbuf [32]float64
+// sumTableTerms is the Newton terms loop, shared by every kernel set:
+// for patterns [lo, hi) it stores the raw category sums
+//
+//	(f, f', f'') = Σ_ck A_ick·e^{λ_k·r_c·t}·(1, λ_k·r_c, (λ_k·r_c)²)
+//
+// into e.siteBuf, accumulated in category-major, eigenvalue-minor order
+// from the compute's hoisted tables; finishTerms turns them into
+// Newton terms. Sum-table entries widen to float64 before the
+// exponential-weighted accumulation, so only the table itself carries
+// reduced precision in f32 mode.
+func sumTableTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
+	ck := e.nCat * e.nStates
+	lr, ex := cs.lrTab[:ck], cs.expTab[:ck]
 	for i := lo; i < hi; i++ {
-		base := i * C * k
+		tab := cs.sumTab[i*ck:][:ck]
 		var f, fp, fpp float64
-		for c := 0; c < C; c++ {
-			r := rates[c]
-			for kk := 0; kk < k; kk++ {
-				expbuf[kk] = math.Exp(eval[kk] * r * t)
-			}
-			tab := cs.sumTab[base+c*k : base+(c+1)*k]
-			for kk := 0; kk < k; kk++ {
-				lr := eval[kk] * r
-				a := float64(tab[kk]) * expbuf[kk]
-				f += a
-				fp += a * lr
-				fpp += a * lr * lr
-			}
+		for j, x := range tab {
+			a := float64(x) * ex[j]
+			l := lr[j]
+			f += a
+			fp += a * l
+			fpp += a * l * l
 		}
-		f *= catW
-		fp *= catW
-		fpp *= catW
+		sums := e.siteBuf[3*i:][:3]
+		sums[0], sums[1], sums[2] = f, fp, fpp
+	}
+}
+
+// finishTerms turns the raw category sums sumTableTerms left in
+// e.siteBuf for patterns [lo, hi) into weighted (lnL, d1, d2) terms, in
+// place — or only (d1, d2) on a derivative-only pass.
+func finishTerms[F Float](e *Engine, cs *compute[F], lo, hi int) {
+	catW := cs.catW
+	terms := e.siteBuf
+	if !cs.svFull {
+		for i := lo; i < hi; i++ {
+			tm := terms[3*i:][:3]
+			f, fp, fpp := tm[0]*catW, tm[1]*catW, tm[2]*catW
+			if f < math.SmallestNonzeroFloat64 {
+				f = math.SmallestNonzeroFloat64
+			}
+			w := e.weights[i]
+			gp, gpp := fp/f, fpp/f
+			// q == 1 without +I: w*q*gp == w*gp and
+			// q*gpp - q*gp*q*gp == gpp - gp*gp exactly, so these are
+			// the full pass's bits.
+			tm[1] = w * gp
+			tm[2] = w * (gpp - gp*gp)
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		tm := terms[3*i:][:3]
+		f, fp, fpp := tm[0]*catW, tm[1]*catW, tm[2]*catW
 		if f < math.SmallestNonzeroFloat64 {
 			f = math.SmallestNonzeroFloat64
 		}
@@ -171,9 +224,9 @@ func sumTableTerms[F Float](e *Engine, cs *compute[F], t float64, lo, hi int) {
 		// independent, so derivatives pick up the Γ-component
 		// posterior weight q (1 when the mixture is off).
 		q := gammaWeight(lnGamma, e.M.PInv, e.linv[i])
-		terms[3*i] = w * mixInvariant(lnGamma, e.M.PInv, e.linv[i])
-		terms[3*i+1] = w * q * gp
-		terms[3*i+2] = w * (q*gpp - q*gp*q*gp)
+		tm[0] = w * mixInvariant(lnGamma, e.M.PInv, e.linv[i])
+		tm[1] = w * q * gp
+		tm[2] = w * (q*gpp - q*gp*q*gp)
 	}
 }
 
@@ -210,7 +263,16 @@ func (e *Engine) OptimizeBranch(edge *tree.Edge) (float64, error) {
 	}
 	t0 := edge.Length
 	lnl0, _, _ := e.sumTableValues(t0)
+	var nStart time.Time
+	if e.eobs.on {
+		nStart = time.Now()
+	}
 	t1, _ := mathx.Newton(e.fdfFn, t0, tree.MinBranchLength, tree.MaxBranchLength, 1e-8, 32)
+	if e.eobs.on {
+		dur := time.Since(nStart)
+		e.eobs.newtonLat.Observe(dur.Seconds())
+		e.traceSpan(obs.OpNewton, -1, nStart, dur)
+	}
 	lnl1, _, _ := e.sumTableValues(t1)
 	if lnl1 >= lnl0 {
 		edge.Length = t1

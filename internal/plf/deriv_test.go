@@ -8,6 +8,7 @@ import (
 
 	"oocphylo/internal/bio"
 	"oocphylo/internal/model"
+	"oocphylo/internal/obs"
 	"oocphylo/internal/tree"
 )
 
@@ -191,5 +192,42 @@ func TestOptimizeBranchClampsAtBounds(t *testing.T) {
 	}
 	if tr.Edges[0].Length > tree.MinBranchLength*1.01 {
 		t.Errorf("identical sequences should clamp to the floor, got %v", tr.Edges[0].Length)
+	}
+}
+
+// TestOptimizeBranchTimesNewton checks that an instrumented engine
+// records each branch's Newton solve: one plf.newton_seconds
+// observation and one "newton" span on the compute lane per
+// OptimizeBranch call.
+func TestOptimizeBranchTimesNewton(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := tipNames(6)
+	tr, err := tree.RandomTopology(names, rng, 0.02, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := randomAlignment(t, names, 200, rng, bio.DNA)
+	e := newEngine(t, tr, pats, randomModel(t, rng, bio.DNA, true))
+	reg, trc := obs.NewRegistry(), obs.NewTracer(256)
+	e.Instrument(reg, trc)
+	for _, edge := range e.T.Edges[:3] {
+		if _, err := e.OptimizeBranch(edge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := reg.Histogram("plf.newton_seconds", nil).Count(); n != 3 {
+		t.Errorf("plf.newton_seconds count %d, want 3", n)
+	}
+	spans := 0
+	for _, ev := range trc.Events() {
+		if ev.Op == obs.OpNewton {
+			spans++
+			if ev.TID != 0 || ev.Op.String() != "newton" || ev.Op.Cat() != "plf" {
+				t.Errorf("newton span %+v (%s/%s), want compute lane, newton/plf", ev, ev.Op, ev.Op.Cat())
+			}
+		}
+	}
+	if spans != 3 {
+		t.Errorf("%d newton spans, want 3", spans)
 	}
 }

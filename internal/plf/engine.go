@@ -276,7 +276,12 @@ func NewWithPrecision(t *tree.Tree, pats *bio.Patterns, m *model.Model, prov Vec
 	e.fdfFn = func(t float64) (float64, float64) {
 		e.Stats.NewtonIters++
 		e.eobs.newtonIters.Inc()
-		_, d1, d2 := e.sumTableValues(t)
+		var d1, d2 float64
+		if e.M.PInv <= 0 {
+			d1, d2 = e.sumTableDerivs(t)
+		} else {
+			_, d1, d2 = e.sumTableValues(t)
+		}
 		if d2 >= 0 {
 			// Convex region: a raw Newton step would move away from the
 			// maximum. Signal an unusable derivative so the solver takes

@@ -161,7 +161,7 @@ func (e *Engine) pcacheEnabled() bool {
 // specialised kernel must reproduce bit-for-bit.
 type genericKernels[F Float] struct{}
 
-func (genericKernels[F]) name() string                                 { return "generic" }
+func (genericKernels[F]) name() string                                    { return "generic" }
 func (genericKernels[F]) prepareNewview(*Engine, *compute[F], *nvArgs[F]) {}
 
 func (genericKernels[F]) newview(e *Engine, cs *compute[F], a *nvArgs[F], lo, hi int) {

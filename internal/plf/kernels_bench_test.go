@@ -210,3 +210,55 @@ func BenchmarkSumTableAA20(b *testing.B) {
 		})
 	}
 }
+
+// benchTerms times Newton's terms pass over a built sum table: the full
+// (lnL, d1, d2) pass OptimizeBranch takes at its end points, and the
+// derivative-only pass each Newton iteration takes without +I.
+func benchTerms(b *testing.B, e *Engine, tr *tree.Tree) {
+	b.Helper()
+	if _, err := e.LogLikelihood(); err != nil {
+		b.Fatal(err)
+	}
+	edge := tr.Edges[3]
+	if err := e.prepareSumTable(edge); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.sumTableValues(0.05 + float64(i%7)*0.01)
+		}
+	})
+	b.Run("deriv", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.sumTableDerivs(0.05 + float64(i%7)*0.01)
+		}
+	})
+}
+
+// BenchmarkSumTableTermsDNA4 measures the Newton terms loop for GTR+Γ4
+// DNA under each kernel mode.
+func BenchmarkSumTableTermsDNA4(b *testing.B) {
+	for _, mode := range []string{KernelGeneric, KernelAuto} {
+		b.Run(mode, func(b *testing.B) {
+			e, tr := benchSetupDNA4(b, mode)
+			benchTerms(b, e, tr)
+		})
+	}
+}
+
+// BenchmarkSumTableTermsAA20 measures the protein Newton terms loop per
+// kernel mode and precision.
+func BenchmarkSumTableTermsAA20(b *testing.B) {
+	for _, bc := range []struct{ mode, prec string }{
+		{KernelGeneric, PrecisionF64},
+		{KernelAuto, PrecisionF64},
+		{KernelAuto, PrecisionF32},
+	} {
+		b.Run(bc.mode+"_"+bc.prec, func(b *testing.B) {
+			e, tr := benchSetupAA20(b, bc.mode, bc.prec)
+			benchTerms(b, e, tr)
+		})
+	}
+}

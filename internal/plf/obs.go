@@ -27,6 +27,8 @@ type engineObs struct {
 	// Per-operation latencies, labelled by the active kernel via the
 	// registry's plf.kernel info key.
 	newviewLat, evalLat, sumTableLat *obs.Histogram
+	// newtonLat times each branch's Newton solve in OptimizeBranch.
+	newtonLat *obs.Histogram
 }
 
 // Instrument attaches reg and tr to the engine (either may be nil).
@@ -50,6 +52,7 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		newviewLat:  reg.Histogram("plf.newview_seconds", nil),
 		evalLat:     reg.Histogram("plf.evaluate_seconds", nil),
 		sumTableLat: reg.Histogram("plf.sum_table_seconds", nil),
+		newtonLat:   reg.Histogram("plf.newton_seconds", nil),
 	}
 	reg.SetInfo("plf.kernel", e.KernelName())
 	reg.SetInfo("plf.kernel_mode", e.KernelMode())
